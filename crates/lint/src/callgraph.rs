@@ -16,8 +16,10 @@
 //!
 //! Resolution is deliberately syntactic and conservative in *both*
 //! directions: a qualified call (`CostModel::calibrate(...)`) narrows to
-//! that impl's methods; bare and method calls resolve to every workspace
-//! function of that name (union over overloads). Method calls whose name
+//! that impl's methods; bare calls resolve to every workspace function of
+//! that name (union over overloads), and method calls to every function
+//! of that name taking a `self` receiver — method syntax cannot reach a
+//! free function. Method calls whose name
 //! collides with ubiquitous std methods (`get`, `insert`, `write`, ...)
 //! are not resolved — a `.get(...)` on a `BTreeMap` is almost never the
 //! workspace fn of the same name, and a false edge there would poison
@@ -75,6 +77,21 @@ pub struct CallGraph {
     by_name: BTreeMap<String, Vec<usize>>,
     /// (impl owner, name) → node indices.
     by_owner: BTreeMap<(String, String), Vec<usize>>,
+    /// bare name → node indices of functions taking a `self` receiver
+    /// (the only ones `.name(...)` can call).
+    by_method: BTreeMap<String, Vec<usize>>,
+}
+
+/// Whether the parameter list at `params` (inclusive of both parens)
+/// opens with a `self` receiver (`self`, `&self`, `&mut self`,
+/// `mut self`, `self: Box<Self>`).
+fn has_self_receiver(tokens: &[crate::lexer::Token], params: (usize, usize)) -> bool {
+    tokens
+        .get(params.0 + 1..params.1)
+        .unwrap_or_default()
+        .iter()
+        .take_while(|t| t.punct() != Some(',') && t.punct() != Some(':'))
+        .any(|t| t.ident() == Some("self"))
 }
 
 impl CallGraph {
@@ -83,6 +100,7 @@ impl CallGraph {
         let mut nodes = Vec::new();
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut by_owner: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
+        let mut by_method: BTreeMap<String, Vec<usize>> = BTreeMap::new();
 
         for (fi, file) in files.iter().enumerate() {
             if file.test_file {
@@ -104,6 +122,9 @@ impl CallGraph {
                     witness: None,
                 });
                 by_name.entry(decl.name.clone()).or_default().push(idx);
+                if has_self_receiver(&file.lexed.tokens, decl.params) {
+                    by_method.entry(decl.name.clone()).or_default().push(idx);
+                }
                 if !decl.owner.is_empty() {
                     by_owner
                         .entry((decl.owner.clone(), decl.name.clone()))
@@ -117,6 +138,7 @@ impl CallGraph {
             nodes,
             by_name,
             by_owner,
+            by_method,
         };
         graph.seed_own_panics(files);
         graph.propagate(files);
@@ -186,10 +208,15 @@ impl CallGraph {
                 return &[];
             }
         }
-        if call.method && STD_METHOD_NAMES.contains(&call.name.as_str()) {
-            return &[];
-        }
-        self.by_name.get(&call.name).map(Vec::as_slice).unwrap_or(&[])
+        let index = if call.method {
+            if STD_METHOD_NAMES.contains(&call.name.as_str()) {
+                return &[];
+            }
+            &self.by_method
+        } else {
+            &self.by_name
+        };
+        index.get(&call.name).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Fixpoint: a function can panic if it contains a panic or calls one
@@ -408,6 +435,26 @@ mod tests {
             ("crates/types/src/lib.rs", types, false),
         ]);
         assert_eq!(lines[0], vec![], ".get() is almost always std");
+    }
+
+    #[test]
+    fn method_calls_do_not_resolve_to_free_functions() {
+        // `x.round()` is `f64::round`, never a workspace free fn that
+        // happens to share the name; a method with a receiver still
+        // resolves.
+        let agent = "fn tick() { let r = x.round(); }";
+        let types = "pub fn round(opts: &Options) -> u32 { x.unwrap() }";
+        let lines = p2_lines(&[
+            ("crates/agent/src/lib.rs", agent, true),
+            ("crates/types/src/lib.rs", types, false),
+        ]);
+        assert_eq!(lines[0], vec![], "free fn reached through method syntax");
+        let types = "impl Dial { pub fn round(&self) -> u32 { x.unwrap() } }";
+        let lines = p2_lines(&[
+            ("crates/agent/src/lib.rs", agent, true),
+            ("crates/types/src/lib.rs", types, false),
+        ]);
+        assert_eq!(lines[0], vec![1]);
     }
 
     #[test]
