@@ -38,6 +38,15 @@ pub struct TraceRecord {
     pub incompressible_fraction: f64,
 }
 
+impl TraceRecord {
+    /// The compressible share of the job's pages, per mille: the integer
+    /// scale the far-memory ledger applies to the cold mass and its
+    /// promotions (`1000 − round(incompressible_fraction × 1000)`).
+    pub fn stored_permille(&self) -> u32 {
+        1000 - (self.incompressible_fraction.clamp(0.0, 1.0) * 1000.0).round() as u32
+    }
+}
+
 /// The default export period.
 pub const EXPORT_PERIOD: SimDuration = SimDuration::from_secs(300);
 
@@ -255,5 +264,23 @@ mod tests {
         let json = serde_json::to_string(&rec).unwrap();
         let back: TraceRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back, rec);
+    }
+
+    #[test]
+    fn stored_permille_rounds_the_compressible_share() {
+        let with = |f: f64| TraceRecord {
+            job: JobId::new(9),
+            at: SimTime::from_secs(300),
+            window: EXPORT_PERIOD,
+            working_set: PageCount::new(42),
+            cold_hist: ColdAgeHistogram::new(),
+            promo_delta: PromotionHistogram::new(),
+            incompressible_fraction: f,
+        };
+        assert_eq!(with(0.0).stored_permille(), 1000);
+        assert_eq!(with(0.3).stored_permille(), 700);
+        assert_eq!(with(0.31).stored_permille(), 690);
+        assert_eq!(with(1.0).stored_permille(), 0);
+        assert_eq!(with(1.5).stored_permille(), 0, "clamped");
     }
 }

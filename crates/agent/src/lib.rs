@@ -40,7 +40,7 @@ mod exporter;
 mod node_agent;
 mod params;
 
-pub use controller::{best_threshold_for_window, ControlDecision, JobController};
+pub use controller::{best_threshold_for_window, ControlDecision, JobController, ThresholdPool};
 pub use exporter::{TraceExporter, TraceRecord, EXPORT_PERIOD};
 pub use node_agent::NodeAgent;
 pub use params::{AgentParams, SloConfig};

@@ -85,22 +85,6 @@ impl SearchSpace {
         }
     }
 
-    /// [`agent_params`](Self::agent_params) extended with the prefetcher
-    /// aggressiveness knob: `prefetch_aggressiveness_permille ∈ [0, 1000]`
-    /// (0 never issues, 1000 drains a full queue per scan). Keeping the
-    /// two-dimensional space as the default preserves every existing
-    /// tuner trajectory; prefetch-aware searches opt into this third
-    /// dimension explicitly.
-    pub fn agent_params_with_prefetch() -> Self {
-        let mut s = Self::agent_params();
-        s.dims.push(ParamRange {
-            name: "prefetch_aggressiveness_permille".into(),
-            lo: 0.0,
-            hi: 1000.0,
-        });
-        s
-    }
-
     /// Dimensionality.
     pub fn dims(&self) -> usize {
         self.dims.len()
@@ -200,23 +184,6 @@ mod tests {
         assert_eq!(s.dims(), 2);
         assert_eq!(s.ranges()[0].name, "k_percentile");
         assert_eq!(s.ranges()[1].hi, 7_200.0);
-    }
-
-    #[test]
-    fn prefetch_space_extends_the_agent_knobs() {
-        let s = SearchSpace::agent_params_with_prefetch();
-        assert_eq!(s.dims(), 3);
-        // The first two dimensions are exactly the production space, so a
-        // prefetch-aware tuner degenerates to the K/S search when the
-        // third coordinate is ignored.
-        assert_eq!(s.ranges()[..2], SearchSpace::agent_params().dims[..]);
-        let pf = &s.ranges()[2];
-        assert_eq!(pf.name, "prefetch_aggressiveness_permille");
-        assert_eq!((pf.lo, pf.hi), (0.0, 1000.0));
-        assert_eq!(pf.denormalize(0.5), 500.0);
-        // The base space stays two-dimensional: existing tuner
-        // trajectories are untouched.
-        assert_eq!(SearchSpace::agent_params().dims(), 2);
     }
 
     #[test]

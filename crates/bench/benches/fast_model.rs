@@ -45,10 +45,9 @@ fn bench_single_job_replay(c: &mut Criterion) {
         .max_by_key(|t| t.records.iter().map(TraceRecord::clone).count())
         .expect("non-empty")
         .clone();
-    let params = AgentParams::default();
-    let slo = sdfm_agent::SloConfig::default();
+    let config = ModelConfig::new(AgentParams::default());
     c.bench_function("replay_one_job_24_windows", |b| {
-        b.iter(|| std::hint::black_box(sdfm_model::replay_job(&longest, &params, &slo)));
+        b.iter(|| std::hint::black_box(sdfm_model::replay_job(&longest, &config)));
     });
 }
 

@@ -247,7 +247,7 @@ pub fn ablation_controller(traces: &[JobTrace], k: f64) -> AblationController {
 
     for trace in traces {
         // K-percentile via the production replay.
-        let out = sdfm_model::replay_job(trace, &params, &slo);
+        let out = sdfm_model::replay_job(trace, &ModelConfig::new(params));
         for w in &out.windows {
             if !w.enabled {
                 continue;

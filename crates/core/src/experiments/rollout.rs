@@ -95,7 +95,7 @@ pub fn figure5(scale: &Scale) -> (Vec<Fig5Point>, AgentParams) {
     // Autotune on a collected fleet trace. The trace must span at least
     // the controller's history window plus the measurement horizon, or the
     // model cannot resolve K at the pool sizes the deployment will run at.
-    let trace_windows = (sdfm_agent::JobController::POOL_CAP + scale.measure_windows).max(8);
+    let trace_windows = (sdfm_agent::ThresholdPool::CAP + scale.measure_windows).max(8);
     let traces = collect_fleet_traces(scale, trace_windows);
     let model = FarMemoryModel::new(traces);
     let mut pipeline = AutotunePipeline::new(model, SloConfig::default(), scale.seed ^ 0xA77);

@@ -122,6 +122,21 @@ impl BackendConfig {
         }
     }
 
+    /// A fixed-capacity NVM-like device (an Optane-DIMM-class tier-1):
+    /// sub-µs loads, infinite bandwidth and no queueing, so every op
+    /// costs exactly its configured latency.
+    pub fn nvm_like(capacity: PageCount) -> Self {
+        BackendConfig {
+            kind: BackendKind::SimulatedSsd,
+            capacity,
+            load_ns: 300,
+            store_ns: 700,
+            bandwidth_bytes_per_us: 0,
+            queue_depth: 1,
+            cost_nanocents_per_byte: 0,
+        }
+    }
+
     /// A remote-memory tier: ~100 µs round trips, unbounded pool behind
     /// the fabric, and a per-byte transfer cost that the TCO model charges
     /// against the DRAM it displaces.
@@ -574,6 +589,32 @@ mod tests {
         assert_eq!(ssd.stats().full_rejections, 1);
         assert_eq!(ssd.free(), PageCount::ZERO);
         assert!(!ssd.has_room());
+    }
+
+    #[test]
+    fn nvm_like_keeps_exact_per_op_costs() {
+        let cfg = BackendConfig::nvm_like(PageCount::new(10));
+        // Infinite bandwidth, queue depth 1: every op costs exactly its
+        // configured latency.
+        assert_eq!(cfg.fault_ns(), 300);
+        assert_eq!(cfg.store_op_ns(), 700);
+        let mut dev = cfg.build();
+        dev.store_page();
+        dev.store_page();
+        dev.load_page();
+        let s = dev.stats();
+        assert_eq!((s.resident_pages, s.stores, s.loads), (1, 2, 1));
+        assert_eq!(s.ns_charged, 2 * 700 + 300);
+    }
+
+    #[test]
+    fn nvm_like_capacity_is_hard() {
+        let mut dev = BackendConfig::nvm_like(PageCount::new(2)).build();
+        assert!(dev.store_page().is_some());
+        assert!(dev.store_page().is_some());
+        assert!(dev.store_page().is_none(), "third store must reject");
+        assert_eq!(dev.stats().full_rejections, 1);
+        assert_eq!(dev.free(), PageCount::ZERO);
     }
 
     #[test]

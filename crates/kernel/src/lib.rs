@@ -48,12 +48,12 @@ mod error;
 mod kernel;
 pub mod kreclaimd;
 pub mod kstaled;
+pub mod ledger;
 pub mod memcg;
 pub mod page;
 pub mod page_table;
 pub mod prefetch;
 pub mod thermostat;
-pub mod tiering;
 pub mod writeback;
 pub mod zswap;
 
@@ -63,6 +63,7 @@ pub use backend::{
 pub use cost::{CostModel, CostSource, CpuAccounting};
 pub use error::KernelError;
 pub use kernel::{Kernel, KernelConfig, MachineStats};
+pub use ledger::{FarWindow, FarWindowEvents, JobFarLedger};
 pub use memcg::{MemCgroup, MemcgStats};
 pub use page::{Page, PageContent, PageState};
 pub use page_table::PageTable;
@@ -70,7 +71,6 @@ pub use prefetch::{
     PrefetchConfig, PrefetchMode, PrefetchPolicy, PrefetchWindowCounts, Prefetcher,
 };
 pub use thermostat::{ThermostatEstimate, ThermostatSampler};
-pub use tiering::{Tier1Config, Tier1Stats};
 pub use writeback::{
     DemotionOutcome, HostPressureOutcome, LifecycleOutcome, StorePressure, StorePressureSource,
     WritebackOutcome,

@@ -304,6 +304,22 @@ mod tests {
     }
 
     #[test]
+    fn ledger_module_is_rule_scoped() {
+        // The far-memory ledger (kernel/src/ledger.rs) is the one window
+        // recurrence behind every stat-tier fleet window and every replayed
+        // trace; a determinism, panic, or rounding slip there corrupts both
+        // fast models at once. CI runs this test by name so a scope
+        // refactor cannot drop the module from enforcement: determinism
+        // (D1/D2/T1), panic safety (P1), unit and rounding discipline
+        // (U1/U2), waivers (W0).
+        let ledger = classify("crates/kernel/src/ledger.rs");
+        assert!(!ledger.test_file);
+        for rule in [Rule::D1, Rule::D2, Rule::T1, Rule::P1, Rule::U1, Rule::U2, Rule::W0] {
+            assert!(ledger.enforces(rule), "ledger.rs must enforce {rule:?}");
+        }
+    }
+
+    #[test]
     fn p2_follows_control_plane_and_w0_follows_any_scope() {
         assert!(classify("crates/agent/src/node_agent.rs").enforces(Rule::P2));
         assert!(classify("crates/cluster/src/machine.rs").enforces(Rule::P2));

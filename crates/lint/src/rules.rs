@@ -131,13 +131,14 @@ T1 — only scoped thread spawns in determinism scope
 
 Why: `thread::spawn` detaches past the simulation window barrier; a
 straggler writing after the barrier races the next window and breaks
-reproducibility. Crossbeam scoped threads cannot outlive the state they
-borrow.
+reproducibility. `std::thread::scope` threads cannot outlive the state
+they borrow, and the `sdfm-pool` worker pool blocks until every borrowed
+task finishes.
 
 Fires on:
     std::thread::spawn(move || work());
 
-Fix: `thread::scope(|s| { s.spawn(...); })` or the shared worker pool.
+Fix: `std::thread::scope(|s| { s.spawn(...); })` or the shared worker pool.
 
 Waiver:
     thread::spawn(f); // sdfm-lint: allow(T1) reason=\"joined before window end\"",
@@ -307,8 +308,9 @@ pub fn scan(tokens: &[Token]) -> Vec<Hit> {
                 rule: Rule::T1,
                 line: t.line,
                 token: i,
-                message: "`thread::spawn` detaches past the window barrier; use crossbeam \
-                          scoped threads so workers cannot outlive the state they borrow"
+                message: "`thread::spawn` detaches past the window barrier; use \
+                          `std::thread::scope` or the `sdfm-pool` worker pool so workers \
+                          cannot outlive the state they borrow"
                     .to_string(),
             }),
             _ if PANICKING_CALLS.contains(&ident)
