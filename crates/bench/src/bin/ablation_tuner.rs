@@ -12,7 +12,7 @@ fn main() {
     };
     let traces = ablation_traces(&scale);
     let budget = 40;
-    let a = ablation_tuner(traces, budget, scale.seed);
+    let a = ablation_tuner(&scale.fast_model(traces), budget, scale.seed);
     emit(&options, &a, || {
         println!("Ablation — tuner strategy at a {budget}-trial budget\n");
         println!(

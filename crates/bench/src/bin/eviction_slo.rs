@@ -23,6 +23,7 @@ fn main() {
                 capacity: PageCount::new(30_000),
                 ..KernelConfig::default()
             },
+            threads: options.scale.workers(),
             ..ClusterConfig::small_test()
         },
         options.scale.seed,

@@ -53,6 +53,7 @@ pub fn parse_options() -> Options {
                 threads = args
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| {
                         eprintln!("--threads needs a positive integer");
                         std::process::exit(2);

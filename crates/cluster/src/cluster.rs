@@ -34,9 +34,9 @@ pub struct ClusterConfig {
     /// Trace export period.
     pub export_period: SimDuration,
     /// Worker threads for the per-machine step (1 = sequential). Each
-    /// machine is self-contained (kernel, agent, drivers); shards are cut
-    /// at machine granularity and their telemetry and reports are merged
-    /// back in machine-index order, so the cluster trajectory is
+    /// machine is self-contained (kernel, agent, drivers); the machines are
+    /// cut into contiguous index chunks whose telemetry and reports are
+    /// merged back in chunk order, so the cluster trajectory is
     /// bit-for-bit identical at any thread count.
     pub threads: usize,
 }
@@ -76,9 +76,9 @@ pub struct MinuteReport {
     pub promotions: u64,
 }
 
-// The parallel machine step hands contiguous machine shards to scoped
-// worker threads; everything a machine owns (kernel, node agent, drivers)
-// must therefore cross thread boundaries.
+// The machine step hands contiguous machine chunks to the worker pool;
+// everything a machine owns (kernel, node agent, drivers) must therefore
+// cross thread boundaries.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Machine>();
@@ -96,12 +96,8 @@ pub struct BorgCluster {
     now: SimTime,
     next_job: u64,
     rng: StdRng,
-    /// Per-shard output buffers (local telemetry + machine reports), kept
-    /// across minutes so the parallel step allocates little in steady
-    /// state. Merged back in machine-index order every minute.
-    scratch: Vec<(TelemetryDb, Vec<MachineReport>)>,
-    /// The persistent worker pool, created lazily on the first parallel
-    /// minute and shut down — workers joined — when the cluster drops.
+    /// The persistent worker pool, created lazily on the first minute and
+    /// shut down — workers joined — when the cluster drops.
     pool: OnceLock<WorkerPool>,
 }
 
@@ -139,7 +135,6 @@ impl BorgCluster {
             now: SimTime::ZERO,
             next_job: 1,
             rng: StdRng::seed_from_u64(seed),
-            scratch: Vec::new(),
             pool: OnceLock::new(),
         }
     }
@@ -194,9 +189,9 @@ impl BorgCluster {
     /// steps every machine, requeues evicted jobs.
     ///
     /// The machine step fans out across [`ClusterConfig::threads`]
-    /// workers in contiguous machine shards; each shard writes into its
-    /// own telemetry buffer and report list, and both are merged back in
-    /// machine-index order, so the telemetry streams, the report, and the
+    /// workers in contiguous machine chunks; each chunk returns its own
+    /// telemetry buffer and report list, and both are merged back in
+    /// chunk order, so the telemetry streams, the report, and the
     /// eviction requeue order are bit-for-bit identical at any thread
     /// count. Placement (which draws cluster RNG) stays sequential before
     /// the fan-out; requeueing stays sequential after it.
@@ -229,59 +224,38 @@ impl BorgCluster {
         }
         self.pending = still_pending;
 
-        // Step machines — sharded at machine granularity when parallel.
-        let workers = self.config.threads.max(1).min(self.machines.len().max(1));
-        if workers <= 1 {
-            for m in &mut self.machines {
-                let r = m.step_minute(self.now, &mut self.telemetry);
-                Self::fold_report(
-                    r,
-                    &mut report,
-                    &mut self.evictions,
-                    &mut self.pending,
-                );
-            }
-        } else {
-            let now = self.now;
-            let chunk = self.machines.len().div_ceil(workers);
-            let shards: Vec<&mut [Machine]> = self.machines.chunks_mut(chunk).collect();
-            self.scratch
-                .resize_with(shards.len(), || (TelemetryDb::new(), Vec::new()));
-            let threads = self.config.threads;
-            let pool = self.pool.get_or_init(|| WorkerPool::new(threads));
-            let tasks: Vec<_> = shards
-                .into_iter()
-                .zip(self.scratch.iter_mut())
-                .map(|(shard, (db, reports))| {
-                    move || {
-                        reports.clear();
-                        for m in shard.iter_mut() {
-                            reports.push(m.step_minute(now, db));
-                        }
-                    }
-                })
-                .collect();
-            if let Err(e) = pool.run(tasks) {
-                // A machine-step panic is a simulator bug, not a
-                // recoverable condition; re-raise it with context instead
-                // of silently dropping the minute.
-                // sdfm-lint: allow(P1) reason="re-raises a worker panic; swallowing it would silently drop the minute's machine state"
-                panic!("cluster minute worker panicked: {e}");
-            }
-            // Merge shard outputs in machine-index order: telemetry
-            // insertion order, the report's job lists, and the eviction
-            // requeue order all come out exactly as the sequential loop
-            // produces them.
-            for (db, reports) in &mut self.scratch {
-                self.telemetry.merge(std::mem::take(db));
-                for r in reports.drain(..) {
-                    Self::fold_report(
-                        r,
-                        &mut report,
-                        &mut self.evictions,
-                        &mut self.pending,
-                    );
+        let now = self.now;
+        let threads = self.config.threads;
+        let chunk = self.machines.len().div_ceil(threads.max(1)).max(1);
+        let pool = self.pool.get_or_init(|| WorkerPool::new(threads));
+        let tasks: Vec<_> = self
+            .machines
+            .chunks_mut(chunk)
+            .map(|machines| {
+                move || {
+                    let mut db = TelemetryDb::new();
+                    let reports: Vec<MachineReport> = machines
+                        .iter_mut()
+                        .map(|m| m.step_minute(now, &mut db))
+                        .collect();
+                    (db, reports)
                 }
+            })
+            .collect();
+        let chunks = pool.run(tasks).unwrap_or_else(|e| {
+            // A machine-step panic is a simulator bug, not a recoverable
+            // condition; re-raise it with context instead of silently
+            // dropping the minute.
+            // sdfm-lint: allow(P1) reason="re-raises a worker panic; swallowing it would silently drop the minute's machine state"
+            panic!("cluster minute worker panicked: {e}")
+        });
+        // Merge in chunk order: telemetry insertion order, the report's job
+        // lists, and the eviction requeue order all come out exactly as a
+        // single machine-index-order loop produces them.
+        for (db, reports) in chunks {
+            self.telemetry.merge(db);
+            for r in reports {
+                Self::fold_report(r, &mut report, &mut self.evictions, &mut self.pending);
             }
         }
         self.evictions
@@ -292,8 +266,7 @@ impl BorgCluster {
 
     /// Folds one machine's minute report into the cluster report,
     /// recording evictions and requeueing evicted jobs. Called in
-    /// machine-index order on both the sequential and the sharded path so
-    /// the outcome is scheduling-independent.
+    /// machine-index order so the outcome is scheduling-independent.
     fn fold_report(
         r: MachineReport,
         report: &mut MinuteReport,
@@ -432,28 +405,26 @@ mod tests {
             (reports, c)
         };
         let (r1, c1) = run(1);
-        let (r2, c2) = run(2);
-        let (r4, c4) = run(4);
-        assert_eq!(r1, r2, "reports diverged at 2 threads");
-        assert_eq!(r1, r4, "reports diverged at 4 threads");
-        for (label, c) in [("2", &c2), ("4", &c4)] {
+        for threads in [2, 3, 4] {
+            let (r, c) = run(threads);
+            assert_eq!(r1, r, "reports diverged at {threads} threads");
             assert_eq!(
                 c1.telemetry().job_snapshots(),
                 c.telemetry().job_snapshots(),
-                "job snapshots diverged at {label} threads"
+                "job snapshots diverged at {threads} threads"
             );
             assert_eq!(
                 c1.telemetry().machine_snapshots(),
                 c.telemetry().machine_snapshots(),
-                "machine snapshots diverged at {label} threads"
+                "machine snapshots diverged at {threads} threads"
             );
             assert_eq!(
                 c1.telemetry().traces(),
                 c.telemetry().traces(),
-                "trace records diverged at {label} threads"
+                "trace records diverged at {threads} threads"
             );
         }
-        // The schedule actually exercised the parallel merge paths.
+        // The schedule actually exercised the chunk merge.
         assert!(r1.iter().any(|r| !r.placed.is_empty()), "nothing placed");
         assert!(
             !c1.telemetry().machine_snapshots().is_empty(),

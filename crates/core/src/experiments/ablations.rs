@@ -661,11 +661,10 @@ pub struct AblationTuner {
 
 /// Compares GP Bandit, random search, and grid search on the fast-model
 /// objective with the same trial budget.
-pub fn ablation_tuner(traces: Vec<JobTrace>, budget: usize, seed: u64) -> AblationTuner {
+pub fn ablation_tuner(model: &FarMemoryModel, budget: usize, seed: u64) -> AblationTuner {
     use sdfm_autotuner::SearchSpace;
     let slo = SloConfig::default();
     let target = slo.target.fraction_per_min();
-    let model = FarMemoryModel::new(traces);
     let eval = |k: f64, s: f64| -> (f64, f64) {
         let params = AgentParams::new(
             k.clamp(0.0, 100.0),
@@ -883,7 +882,7 @@ mod tests {
             threads: 0,
         };
         let traces = ablation_traces(&scale);
-        let a = ablation_tuner(traces, 40, 9);
+        let a = ablation_tuner(&scale.fast_model(traces), 40, 9);
         assert!(
             a.bandit.best_objective > 0.0,
             "bandit found no feasible point"

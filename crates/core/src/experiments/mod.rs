@@ -33,7 +33,7 @@ pub mod two_tier;
 
 use crate::fleet_sim::FleetSimConfig;
 use sdfm_agent::TraceRecord;
-use sdfm_model::{group_traces, JobTrace};
+use sdfm_model::{group_traces, FarMemoryModel, JobTrace};
 use sdfm_types::time::{SimDuration, SimTime, DAY};
 use sdfm_workloads::fleet::FleetSpec;
 use sdfm_workloads::StatJobModel;
@@ -79,13 +79,22 @@ impl Scale {
         }
     }
 
-    /// A fleet-simulator config honoring this scale's thread override.
+    /// The worker count of every pool built at this scale: the
+    /// `threads` override when set, else `SDFM_THREADS`, else all cores.
+    pub fn workers(&self) -> usize {
+        sdfm_pool::resolve_threads(self.threads)
+    }
+
+    /// A fleet-simulator config at this scale's worker count.
     pub fn fleet_config(&self) -> FleetSimConfig {
         let mut cfg = FleetSimConfig::new(self.machines_per_cluster);
-        if self.threads > 0 {
-            cfg.threads = self.threads;
-        }
+        cfg.threads = self.workers();
         cfg
+    }
+
+    /// A fast far memory model over `traces` at this scale's worker count.
+    pub fn fast_model(&self, traces: Vec<JobTrace>) -> FarMemoryModel {
+        FarMemoryModel::new(traces).with_threads(self.workers())
     }
 }
 
@@ -160,6 +169,19 @@ mod tests {
         for ci in 0..spec.clusters.len() {
             assert!(fleet.iter().any(|(c, _, _)| *c == ci), "cluster {ci} empty");
         }
+    }
+
+    /// A `--threads N` override reaches the fleet simulator and the fast
+    /// model alike.
+    #[test]
+    fn thread_override_reaches_every_pool() {
+        let scale = Scale {
+            threads: 3,
+            ..Scale::small()
+        };
+        assert_eq!(scale.workers(), 3);
+        assert_eq!(scale.fleet_config().threads, 3);
+        assert_eq!(scale.fast_model(Vec::new()).threads(), 3);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use super::{collect_fleet_traces, Scale};
 use crate::autotune::AutotunePipeline;
 use crate::fleet_sim::FleetSim;
 use sdfm_agent::{AgentParams, SloConfig};
-use sdfm_model::FarMemoryModel;
 use sdfm_types::stats::{Cdf, FiveNumberSummary, Percentile};
 use sdfm_types::time::SimDuration;
 
@@ -97,7 +96,7 @@ pub fn figure5(scale: &Scale) -> (Vec<Fig5Point>, AgentParams) {
     // model cannot resolve K at the pool sizes the deployment will run at.
     let trace_windows = (sdfm_agent::ThresholdPool::CAP + scale.measure_windows).max(8);
     let traces = collect_fleet_traces(scale, trace_windows);
-    let model = FarMemoryModel::new(traces);
+    let model = scale.fast_model(traces);
     let mut pipeline = AutotunePipeline::new(model, SloConfig::default(), scale.seed ^ 0xA77);
     // Anchor the search on the deployed incumbent so the rollout can only
     // move forward from the hand-tuned configuration.

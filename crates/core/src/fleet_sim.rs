@@ -35,21 +35,14 @@ use sdfm_workloads::fleet::FleetSpec;
 use sdfm_workloads::profile::JobProfile;
 use sdfm_workloads::{PageLevelDriver, StatJobModel, WindowObservation};
 
-/// Errors from the fleet window step. These all indicate a simulator
-/// invariant breaking mid-window — a worker dying or the sharded
-/// reassembly losing a job — and are surfaced as typed values so callers
-/// decide whether to abort or retry instead of the simulator panicking.
+/// Errors from the fleet window step. A job step panicking is a simulator
+/// bug; it is surfaced as a typed value so callers decide whether to abort
+/// or retry instead of the simulator unwinding through them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetSimError {
-    /// A parallel window worker panicked; the payload is the panic
-    /// message surfaced by the engine.
+    /// A window worker panicked; the payload is the panic message
+    /// surfaced by the pool.
     WorkerPanicked(String),
-    /// The machine-boundary shard cuts failed to cover a job: the slot at
-    /// `index` came back empty during index-ordered reassembly.
-    MissingJobSlot {
-        /// The original job index whose window stat never arrived.
-        index: usize,
-    },
 }
 
 impl std::fmt::Display for FleetSimError {
@@ -57,9 +50,6 @@ impl std::fmt::Display for FleetSimError {
         match self {
             FleetSimError::WorkerPanicked(msg) => {
                 write!(f, "fleet window worker panicked: {msg}")
-            }
-            FleetSimError::MissingJobSlot { index } => {
-                write!(f, "job index {index} missing from sharded window step")
             }
         }
     }
@@ -400,9 +390,9 @@ struct SimJob {
     far: JobFarLedger,
 }
 
-// The parallel window step hands chunks of jobs to scoped worker threads;
-// everything a job owns (the stat model with its RNG, the real controller)
-// must therefore cross thread boundaries.
+// The window step hands chunks of jobs to the worker pool; everything a
+// job owns (the stat model with its RNG, the real controller, a page-level
+// kernel) must therefore cross thread boundaries.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<StatJobModel>();
@@ -418,12 +408,8 @@ pub struct FleetSim {
     now: SimTime,
     next_id: u64,
     rng: StdRng,
-    /// Per-worker output buffers — `(original job index, stat)` pairs,
-    /// kept across windows so the parallel step's per-segment output
-    /// allocates nothing in steady state.
-    scratch: Vec<Vec<(usize, JobWindowStat)>>,
-    /// The persistent worker pool, created lazily on the first parallel
-    /// window and shut down — workers joined — when the simulator drops.
+    /// The persistent worker pool, created lazily on the first window and
+    /// shut down — workers joined — when the simulator drops.
     pool: OnceLock<WorkerPool>,
     /// Cumulative CPU charged at the configured [`CostModel`] for every
     /// compression (stored and rejected) and decompression the fleet
@@ -451,7 +437,6 @@ impl FleetSim {
             now: SimTime::ZERO + DAY,
             next_id: 1,
             rng: StdRng::seed_from_u64(seed),
-            scratch: Vec::new(),
             pool: OnceLock::new(),
             cpu: CpuAccounting::default(),
         };
@@ -663,21 +648,20 @@ impl FleetSim {
     /// Advances one window and returns the fleet stats.
     ///
     /// The per-job work fans out across [`FleetSimConfig::threads`]
-    /// workers — by default on the simulator's persistent [`WorkerPool`] —
-    /// sharded at *machine* granularity (segment cuts fall only on
-    /// machine boundaries, and results are reassembled by original job
-    /// index, so scheduling never reaches the output); job churn then
-    /// runs sequentially on the sim-level RNG. The result — including the
-    /// order of `per_job` and the RNG stream — is bit-for-bit identical
-    /// at any thread count.
+    /// workers on the simulator's persistent [`WorkerPool`]: the job list
+    /// is cut into contiguous index chunks whose results are concatenated
+    /// in chunk order, so scheduling never reaches the output. Job churn
+    /// then runs sequentially on the sim-level RNG. The result — including
+    /// the order of `per_job` and the RNG stream — is bit-for-bit
+    /// identical at any thread count.
     ///
     /// # Errors
     ///
-    /// [`FleetSimError`] when a parallel worker panics or the sharded
-    /// reassembly comes back with a hole — both simulator bugs surfaced
-    /// as typed values rather than panics, so harnesses decide how to
-    /// fail. The window's side effects (job state, CPU ledger) are
-    /// undefined after an error; callers should not step further.
+    /// [`FleetSimError::WorkerPanicked`] when a job step panics, at any
+    /// thread count — a simulator bug surfaced as a typed value rather
+    /// than an unwind, so harnesses decide how to fail. The window's side
+    /// effects (job state, CPU ledger) are undefined after an error;
+    /// callers should not step further.
     pub fn step_window(&mut self) -> Result<FleetWindowStats, FleetSimError> {
         self.now += self.config.window;
         let now = self.now;
@@ -702,104 +686,28 @@ impl FleetSim {
             per_job: Vec::with_capacity(self.jobs.len()),
         };
 
-        let workers = self.config.threads.max(1).min(self.jobs.len().max(1));
-        if workers <= 1 {
-            for j in &mut self.jobs {
-                stats.per_job.push(Self::step_job(
-                    j,
-                    now,
-                    window,
-                    min_threshold,
-                    pressure,
-                    chain,
-                    prefetch,
-                ));
-            }
-        } else {
-            // Shard at MACHINE granularity. Jobs are ordered by index
-            // pairs — `self.jobs` itself never moves, so the churn RNG
-            // sequence and `per_job` order are untouched — into
-            // cluster-major machine order, and segment cuts fall only on
-            // machine boundaries. All of one machine's jobs (in
-            // particular a page-level kernel and its co-resident
-            // neighbors) therefore step on a single worker, and the sort
-            // and cut points are pure functions of the job list, so the
-            // partition — and with it the output — is identical at any
-            // thread count.
-            let mut order: Vec<(usize, &mut SimJob)> =
-                self.jobs.iter_mut().enumerate().collect();
-            order.sort_by_key(|(i, j)| (j.cluster_idx, j.machine, *i));
-            let len = order.len();
-            let target = len.div_ceil(workers);
-            // Segment lengths: close a segment at the first machine
-            // boundary at or past the per-worker target.
-            let mut seg_lens: Vec<usize> = Vec::with_capacity(workers);
-            let mut start = 0usize;
-            for k in 1..=len {
-                let boundary = k == len || {
-                    let a = &order[k - 1].1;
-                    let b = &order[k].1;
-                    (a.cluster_idx, a.machine) != (b.cluster_idx, b.machine)
-                };
-                if boundary && k - start >= target {
-                    seg_lens.push(k - start);
-                    start = k;
+        // Contiguous index chunks, concatenated in the order `run`
+        // returns them: every job is self-contained (a page-level job owns
+        // its kernel), so the partition never reaches the output.
+        let threads = self.config.threads;
+        let chunk = self.jobs.len().div_ceil(threads.max(1)).max(1);
+        let pool = self.pool.get_or_init(|| WorkerPool::new(threads));
+        let tasks: Vec<_> = self
+            .jobs
+            .chunks_mut(chunk)
+            .map(|jobs| {
+                move || {
+                    jobs.iter_mut()
+                        .map(|j| {
+                            Self::step_job(j, now, window, min_threshold, pressure, chain, prefetch)
+                        })
+                        .collect::<Vec<_>>()
                 }
-            }
-            if start < len {
-                seg_lens.push(len - start);
-            }
-            let mut segments: Vec<&mut [(usize, &mut SimJob)]> =
-                Vec::with_capacity(seg_lens.len());
-            let mut rest = order.as_mut_slice();
-            for &n in &seg_lens {
-                let tmp = rest;
-                let (seg, tail) = tmp.split_at_mut(n);
-                segments.push(seg);
-                rest = tail;
-            }
-            self.scratch.resize_with(segments.len(), Vec::new);
-            let threads = self.config.threads;
-            let pool = self.pool.get_or_init(|| WorkerPool::new(threads));
-            let tasks: Vec<_> = segments
-                .into_iter()
-                .zip(self.scratch.iter_mut())
-                .map(|(seg, buf)| {
-                    move || {
-                        buf.clear();
-                        buf.extend(seg.iter_mut().map(|(i, j)| {
-                            let stat = Self::step_job(
-                                j, now, window, min_threshold, pressure, chain, prefetch,
-                            );
-                            (*i, stat)
-                        }));
-                    }
-                })
-                .collect();
-            if let Err(e) = pool.run(tasks) {
-                // A job-step panic is a simulator bug; surface it as a
-                // typed error instead of tearing the caller down with a
-                // re-raised panic.
-                return Err(FleetSimError::WorkerPanicked(e.to_string()));
-            }
-            // Index-ordered reassembly: every original index appears in
-            // exactly one segment, so slotting by index reproduces the
-            // sequential `per_job` order bit for bit. That partition is
-            // an invariant of the machine-boundary cuts, and it is
-            // *checked*: a hole is reported as a typed error rather than
-            // assumed away.
-            let mut slots: Vec<Option<JobWindowStat>> = vec![None; len];
-            for buf in &mut self.scratch {
-                for (i, stat) in buf.drain(..) {
-                    slots[i] = Some(stat);
-                }
-            }
-            for (index, slot) in slots.into_iter().enumerate() {
-                match slot {
-                    Some(stat) => stats.per_job.push(stat),
-                    None => return Err(FleetSimError::MissingJobSlot { index }),
-                }
-            }
+            })
+            .collect();
+        match pool.run(tasks) {
+            Ok(chunks) => stats.per_job.extend(chunks.into_iter().flatten()),
+            Err(e) => return Err(FleetSimError::WorkerPanicked(e.to_string())),
         }
         let cost = self.config.cost;
         for s in &stats.per_job {
@@ -1031,15 +939,42 @@ mod tests {
             FleetSim::new(cfg, 11)
         };
         let mut seq = sim_with_threads(1);
-        let mut two = sim_with_threads(2);
-        let mut eight = sim_with_threads(8);
+        // 3 leaves a ragged last chunk; more threads than jobs leaves one
+        // job per chunk.
+        let mut others: Vec<FleetSim> = [2, 3, 8, seq.job_count() + 5]
+            .into_iter()
+            .map(sim_with_threads)
+            .collect();
         // Long enough to cross warmup boundaries and churn at least once.
         for w in 0..16 {
             let a = seq.step_window().unwrap();
-            let b = two.step_window().unwrap();
-            let c = eight.step_window().unwrap();
-            assert_eq!(a, b, "1 vs 2 threads diverged at window {w}");
-            assert_eq!(a, c, "1 vs 8 threads diverged at window {w}");
+            for sim in &mut others {
+                let threads = sim.config.threads;
+                let b = sim.step_window().unwrap();
+                assert_eq!(a, b, "1 vs {threads} threads diverged at window {w}");
+            }
+        }
+    }
+
+    /// The first degenerate fleet: no machines, so no jobs. It steps to
+    /// zero totals with an empty `per_job` at any thread count.
+    #[test]
+    fn empty_fleet_steps_to_zero_totals() {
+        for threads in [1, 4] {
+            let mut cfg = FleetSimConfig::new(0);
+            cfg.threads = threads;
+            let mut sim = FleetSim::new(cfg, 3);
+            assert_eq!(sim.job_count(), 0);
+            for _ in 0..3 {
+                let s = sim.step_window().unwrap();
+                assert!(s.per_job.is_empty(), "threads {threads}");
+                assert_eq!(
+                    (s.total_pages, s.cold_pages, s.far_pages, s.store_frames),
+                    (0, 0, 0, 0),
+                    "threads {threads}"
+                );
+            }
+            assert_eq!(sim.cpu_accounting(), CpuAccounting::default());
         }
     }
 

@@ -102,8 +102,8 @@ impl FleetModelResult {
 pub struct FarMemoryModel {
     traces: Vec<JobTrace>,
     threads: usize,
-    /// Persistent worker pool, created lazily on the first parallel
-    /// replay and shut down (workers joined) when the model drops.
+    /// Persistent worker pool, created lazily on the first replay and
+    /// shut down (workers joined) when the model drops.
     pool: OnceLock<WorkerPool>,
 }
 
@@ -127,8 +127,13 @@ impl FarMemoryModel {
         self
     }
 
-    /// The model's persistent pool (lazy: a model that only ever runs
-    /// sequentially never spawns a worker).
+    /// The worker-thread count replays fan out across.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// The model's persistent pool (lazy: created on the first replay; at
+    /// one thread it spawns no worker).
     fn pool(&self) -> &WorkerPool {
         self.pool.get_or_init(|| WorkerPool::new(self.threads))
     }
@@ -138,93 +143,56 @@ impl FarMemoryModel {
         self.traces.len()
     }
 
-    /// Evaluates one configuration across the fleet.
+    /// Evaluates one configuration across the fleet: the one-config case
+    /// of [`evaluate_many`](Self::evaluate_many).
     pub fn evaluate(&self, config: &ModelConfig) -> FleetModelResult {
-        let outcomes = self.replay_all(config);
-        Self::aggregate(&outcomes)
+        let mut results = self.evaluate_many(std::slice::from_ref(config));
+        results.pop().expect("one result per configuration")
     }
 
     /// Evaluates many configurations; each runs the full fleet replay.
     ///
     /// Work is flattened into `(configuration, trace chunk)` tasks on the
-    /// persistent pool. With at least as many configurations as workers,
-    /// each configuration is a single task — parallelism across
-    /// configurations, exactly the pre-pool behavior. With *fewer*
-    /// configurations than workers (the GP-Bandit steady state: one or
-    /// two candidates per iteration), the leftover workers are put to use
-    /// by statically splitting each configuration's replay into
-    /// `threads / configs.len()` trace chunks instead of idling.
+    /// persistent pool. Each configuration's traces are cut into
+    /// `threads / configs.len()` contiguous chunks (at least one), so with
+    /// at least as many configurations as workers each configuration is a
+    /// single task, and with fewer (the GP-Bandit steady state: one or two
+    /// candidates per iteration) the leftover workers split each replay
+    /// instead of idling.
     ///
-    /// The partitioning is a pure function of `(threads, configs.len(),
+    /// The partition is a pure function of `(threads, configs.len(),
     /// traces.len())` — never of runtime timing — and partial results are
-    /// reassembled in submission-index order, so the output matches
-    /// [`evaluate`](Self::evaluate) and a fully sequential run bit for
-    /// bit.
+    /// concatenated in submission order, so the output is bit-identical at
+    /// any thread count.
     pub fn evaluate_many(&self, configs: &[ModelConfig]) -> Vec<FleetModelResult> {
         if configs.is_empty() {
             return Vec::new();
         }
-        let threads = self.threads.max(1);
-        if threads <= 1 || self.traces.is_empty() {
-            return configs.iter().map(|c| self.evaluate(c)).collect();
-        }
-        // Leftover-core splitter: surplus workers split each config's
-        // replay across contiguous trace chunks (deterministic, static).
-        let splits = (threads / configs.len()).max(1).min(self.traces.len());
-        let chunk = self.traces.len().div_ceil(splits);
-        let trace_chunks: Vec<&[JobTrace]> = self.traces.chunks(chunk).collect();
+        let splits = (self.threads / configs.len()).max(1);
+        let chunk = self.traces.len().div_ceil(splits).max(1);
         let tasks: Vec<_> = configs
             .iter()
             .flat_map(|c| {
-                trace_chunks.iter().map(move |tc| {
-                    let tc = *tc;
-                    move || tc.iter().map(|t| replay_job(t, c)).collect::<Vec<_>>()
-                })
+                self.traces
+                    .chunks(chunk)
+                    .map(move |tc| move || tc.iter().map(|t| replay_job(t, c)).collect::<Vec<_>>())
             })
             .collect();
-        let partials = self
+        let mut partials = self
             .pool()
             .run(tasks)
-            .unwrap_or_else(|e| panic!("evaluate_many worker panicked: {e}"));
-        // Reassemble config-major: consecutive `trace_chunks.len()`
-        // partials belong to one configuration, in trace order.
-        let mut partials = partials.into_iter();
-        let mut results = Vec::with_capacity(configs.len());
-        for _ in 0..configs.len() {
-            let mut outcomes: Vec<JobReplayOutcome> = Vec::with_capacity(self.traces.len());
-            for _ in 0..trace_chunks.len() {
-                if let Some(part) = partials.next() {
-                    outcomes.extend(part);
-                }
-            }
-            results.push(Self::aggregate(&outcomes));
-        }
-        results
-    }
-
-    fn replay_all(&self, config: &ModelConfig) -> Vec<JobReplayOutcome> {
-        self.replay_all_with(config, self.threads)
-    }
-
-    fn replay_all_with(&self, config: &ModelConfig, threads: usize) -> Vec<JobReplayOutcome> {
-        if self.traces.is_empty() {
-            return Vec::new();
-        }
-        let workers = threads.min(self.traces.len());
-        if workers <= 1 {
-            return self.traces.iter().map(|t| replay_job(t, config)).collect();
-        }
-        let chunk = self.traces.len().div_ceil(workers);
-        let tasks: Vec<_> = self
-            .traces
-            .chunks(chunk)
-            .map(|tc| move || tc.iter().map(|t| replay_job(t, config)).collect::<Vec<_>>())
-            .collect();
-        self.pool()
-            .run(tasks)
-            .unwrap_or_else(|e| panic!("replay worker panicked: {e}"))
-            .into_iter()
-            .flatten()
+            .unwrap_or_else(|e| panic!("evaluate_many worker panicked: {e}"))
+            .into_iter();
+        // Reassemble config-major: consecutive `chunks` partials belong to
+        // one configuration, in trace order.
+        let chunks = self.traces.len().div_ceil(chunk);
+        configs
+            .iter()
+            .map(|_| {
+                let outcomes: Vec<JobReplayOutcome> =
+                    partials.by_ref().take(chunks).flatten().collect();
+                Self::aggregate(&outcomes)
+            })
             .collect()
     }
 
@@ -304,14 +272,16 @@ mod tests {
 
     #[test]
     fn empty_model_evaluates_to_zero() {
-        let m = FarMemoryModel::new(vec![]);
-        let r = m.evaluate(&config(98.0, 0));
-        assert_eq!(r.jobs, 0);
-        assert_eq!(r.avg_cold_pages, 0.0);
-        // No windows ran, so the constraint was never measured: an
-        // unmeasured configuration must not pass as SLO-perfect.
-        assert_eq!(r.p98_normalized_rate, None);
-        assert!(!r.meets_slo(NormalizedPromotionRate::PAPER_SLO_TARGET));
+        for threads in [1, 4] {
+            let m = FarMemoryModel::new(vec![]).with_threads(threads);
+            let r = m.evaluate(&config(98.0, 0));
+            assert_eq!(r.jobs, 0);
+            assert_eq!(r.avg_cold_pages, 0.0);
+            // No windows ran, so the constraint was never measured: an
+            // unmeasured configuration must not pass as SLO-perfect.
+            assert_eq!(r.p98_normalized_rate, None);
+            assert!(!r.meets_slo(NormalizedPromotionRate::PAPER_SLO_TARGET));
+        }
     }
 
     #[test]
