@@ -10,10 +10,14 @@
 //!
 //! Summing over the profile's rate buckets gives the exact expected
 //! cold-age histogram, promotion histogram, and working set for any window
-//! — no per-page state. Slowly-varying multiplicative noise (AR(1) in log
-//! space) and the diurnal multiplier supply the variance the fleet figures
-//! need. A validation test in `tests/` checks this model against the
-//! page-level kernel simulation.
+//! — no per-page state. The histograms are those expectations rounded once
+//! per age: each bucket's expected pages and promotions are summed per age
+//! across the buckets, and every age's total is stochastically rounded to
+//! whole pages, so a window costs at most two rounding draws per age
+//! whatever the bucket count. Slowly-varying multiplicative noise (AR(1) in
+//! log space) and the diurnal multiplier supply the variance the fleet
+//! figures need. A validation test in `tests/` checks this model against
+//! the page-level kernel simulation.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,7 +25,9 @@ use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 
 use crate::profile::JobProfile;
-use sdfm_types::histogram::{ColdAgeHistogram, PageAge, PromotionHistogram, MAX_AGE_SCANS};
+use sdfm_types::histogram::{
+    ColdAgeHistogram, PageAge, PromotionHistogram, AGE_BUCKETS, MAX_AGE_SCANS,
+};
 use sdfm_types::size::PageCount;
 use sdfm_types::time::{SimDuration, SimTime, KSTALED_SCAN_PERIOD};
 
@@ -116,7 +122,7 @@ impl StatJobModel {
         let window_secs = window.as_secs() as f64;
         let cap = (at.saturating_duration_since(self.last_reset).as_secs()
             / KSTALED_SCAN_PERIOD.as_secs())
-        .min(MAX_AGE_SCANS as u64) as u8;
+        .min(MAX_AGE_SCANS as u64) as usize;
         let burst = match self.profile.burst_interval {
             Some(interval) if interval > SimDuration::ZERO => {
                 let p = (window_secs / interval.as_secs() as f64).clamp(0.0, 1.0);
@@ -125,47 +131,47 @@ impl StatJobModel {
             _ => false,
         };
 
-        let mut cold = ColdAgeHistogram::new();
-        let mut promo = PromotionHistogram::new();
+        // Expected pages (cold) and expected accesses (promo) by age,
+        // summed over the buckets; `top` is the oldest age with mass.
+        let mut cold_f = [0.0f64; AGE_BUCKETS];
+        let mut promo_f = [0.0f64; AGE_BUCKETS];
+        let mut top = 0usize;
         let mut wss = 0.0f64;
         let total_pages: u64 = self.profile.rate_buckets.iter().map(|b| b.pages).sum();
 
-        for bi in 0..self.profile.rate_buckets.len() {
-            let bucket = self.profile.rate_buckets[bi];
-            let lambda = bucket.rate_per_sec * diurnal * self.bucket_noise[bi];
+        for (bucket, noise) in self.profile.rate_buckets.iter().zip(&self.bucket_noise) {
+            let lambda = bucket.rate_per_sec * diurnal * noise;
             let n = bucket.pages as f64;
             let q = (-lambda * scan_secs).exp();
-            if !burst {
+            // During a burst every page is accessed once at its current
+            // age; otherwise the regular accesses arriving this window find
+            // pages at age k with probability mass p_age_k.
+            let promo_scale = if burst {
+                n
+            } else {
                 wss += n * (1.0 - q);
-            }
+                n * lambda * window_secs
+            };
             // Walk q^k over the truncated age distribution. At k == cap all
             // remaining mass sits at exactly that age (untouched since the
             // last reset).
             let mut qk = 1.0; // q^0
-            let mut k = 0u8;
+            let mut k = 0usize;
             loop {
                 let qk1 = qk * q;
                 let at_cap = k >= cap;
                 let p_age_k = if at_cap { qk } else { qk - qk1 };
-                let pages_at_k = n * p_age_k;
-                if burst {
-                    // Every page is accessed at its current age.
-                    if k >= 1 {
-                        self.add_promo_rounded(&mut promo, k, pages_at_k);
-                    }
-                } else {
-                    self.add_rounded(&mut cold, k, pages_at_k);
-                    if k >= 1 {
-                        // Regular accesses arriving this window find pages
-                        // at age k with probability mass p_age_k.
-                        self.add_promo_rounded(&mut promo, k, n * lambda * window_secs * p_age_k);
-                    }
+                if !burst {
+                    cold_f[k] += n * p_age_k;
                 }
+                promo_f[k] += promo_scale * p_age_k;
                 if at_cap || (qk1 * n < 1e-3 && !burst) {
+                    top = top.max(k);
                     if !at_cap && qk1 > 0.0 {
                         // Sub-milli-page tail: collapse to k+1 (or cap).
                         let kt = (k + 1).min(cap);
-                        self.add_rounded(&mut cold, kt, n * qk1);
+                        cold_f[kt] += n * qk1;
+                        top = top.max(kt);
                     }
                     break;
                 }
@@ -174,9 +180,20 @@ impl StatJobModel {
             }
         }
 
+        // Round once per age over the summed expectation. Promotions at
+        // age 0 are not promotions (the page was already hot).
+        let mut cold = ColdAgeHistogram::new();
+        let mut promo = PromotionHistogram::new();
+        for (age, k) in (0..=MAX_AGE_SCANS).zip(0..=top) {
+            self.add_rounded(&mut cold, age, cold_f[k]);
+            if age >= 1 {
+                self.add_promo_rounded(&mut promo, age, promo_f[k]);
+            }
+        }
+
         if burst {
             // Post-burst: every page hot, the whole job is the working set.
-            cold.clear();
+            // (The walk left the cold expectations empty.)
             cold.record_page(PageAge::HOT, total_pages);
             wss = total_pages as f64;
             self.last_reset = at;
@@ -205,7 +222,9 @@ impl StatJobModel {
         }
     }
 
-    /// Stochastic rounding keeps sub-unit expectations unbiased.
+    /// Stochastic rounding keeps sub-unit expectations unbiased. `observe`
+    /// applies it once per age to the expectation summed over the rate
+    /// buckets, so each age's count is off by less than one page.
     fn round_stochastic(&mut self, v: f64) -> u64 {
         let base = v.floor();
         let frac = v - base;
@@ -237,6 +256,8 @@ impl StatJobModel {
 mod tests {
     use super::*;
     use crate::profile::{DiurnalPattern, JobPriority, RateBucket};
+    use crate::templates::band_rate_buckets;
+    use rand::RngCore;
     use sdfm_compress::gen::CompressibilityMix;
     use sdfm_types::time::MINUTE;
 
@@ -386,5 +407,42 @@ mod tests {
         let oa = a.observe(SimTime::from_secs(300), MINUTE * 5);
         let ob = b.observe(SimTime::from_secs(300), MINUTE * 5);
         assert_eq!(oa, ob);
+    }
+
+    /// The exact number of RNG words one `observe` consumes: a clone of
+    /// the generator taken before the call is stepped until it reaches
+    /// the model's state after it.
+    fn draws_of_one_observe(m: &mut StatJobModel, at: SimTime, window: SimDuration) -> usize {
+        let mut before = m.rng.clone();
+        m.observe(at, window);
+        let mut draws = 0;
+        while before != m.rng {
+            before.next_u64();
+            draws += 1;
+            assert!(draws <= 1_000_000, "generator never caught up");
+        }
+        draws
+    }
+
+    #[test]
+    fn observe_rounds_once_per_age() {
+        let mut p = profile(
+            band_rate_buckets(100_000, 0.2, 0.15, 0.05, 2.0),
+            DiurnalPattern::FLAT,
+        );
+        p.burst_interval = Some(SimDuration::from_hours(24));
+        let buckets = p.rate_buckets.len();
+        assert_eq!(buckets, 29);
+        let mut m = StatJobModel::new(p, 11);
+        // A day in, every bucket's age walk can reach the 255-scan cap.
+        let draws = draws_of_one_observe(&mut m, SimTime::from_secs(86_400), MINUTE * 5);
+        let cap = usize::from(MAX_AGE_SCANS);
+        // One burst draw, two uniforms per bucket's noise innovation, and
+        // at most one rounding draw per age for each histogram.
+        assert!(
+            draws <= 2 * (cap + 1) + 1 + 2 * buckets,
+            "{draws} draws for {buckets} buckets"
+        );
+        assert_eq!(draws, 570);
     }
 }

@@ -270,7 +270,7 @@ struct TemplateParams {
 /// paper's steeply decaying cold-age distribution (Figure 1), which is
 /// what makes the threshold choice — and therefore `K`/`S` tuning —
 /// consequential.
-fn band_rate_buckets(
+pub(crate) fn band_rate_buckets(
     pages: u64,
     warm_frac: f64,
     cool_frac: f64,

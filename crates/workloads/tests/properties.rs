@@ -134,4 +134,88 @@ proptest! {
         }
         prop_assert!(burst_seen, "a ~5-min-interval burst never fired in 60 windows");
     }
+
+    /// Arbitrary profiles — huge, empty, zero-page and frozen-to-frantic
+    /// buckets, empty and hour-long windows, windows that end before the
+    /// job started, with noise and bursts — never panic, and the working
+    /// set never exceeds the job.
+    #[test]
+    fn observe_survives_arbitrary_profiles(
+        buckets in prop::collection::vec((0u64..=1 << 40, -9.0f64..1.0), 0..=64),
+        start_secs in 0u64..1_000_000,
+        at_secs in 0u64..1_000_000,
+        window_secs in 0u64..=3_600,
+        burst in prop::option::of(1u64..48),
+        sigma in prop::option::of(0.0f64..1.0),
+    ) {
+        let buckets: Vec<(u64, f64)> =
+            buckets.into_iter().map(|(p, e)| (p, 10f64.powf(e))).collect();
+        let total: u64 = buckets.iter().map(|(p, _)| p).sum();
+        let profile = profile_from(buckets, burst);
+        let mut m = StatJobModel::with_noise(
+            profile,
+            9,
+            sigma.unwrap_or(StatJobModel::DEFAULT_SIGMA),
+        );
+        m.set_start(SimTime::from_secs(start_secs));
+        for w in 0..3u64 {
+            let obs = m.observe(
+                SimTime::from_secs(at_secs + w * window_secs),
+                SimDuration::from_secs(window_secs),
+            );
+            prop_assert!(obs.working_set.get() <= total, "wss above job size");
+        }
+    }
+
+    /// Without noise or bursts the rounded histogram differs from the
+    /// page count by less than one page per age: each age is rounded once
+    /// over the expectation summed across buckets.
+    #[test]
+    fn rounding_error_is_at_most_one_page_per_age(
+        buckets in prop::collection::vec((0u64..=1 << 40, -9.0f64..1.0), 0..=64),
+        start_secs in 0u64..1_000_000,
+        at_secs in 0u64..1_000_000,
+        window_secs in 0u64..=3_600,
+    ) {
+        let buckets: Vec<(u64, f64)> =
+            buckets.into_iter().map(|(p, e)| (p, 10f64.powf(e))).collect();
+        let total: u64 = buckets.iter().map(|(p, _)| p).sum();
+        let mut m = StatJobModel::with_noise(profile_from(buckets, None), 10, 0.0);
+        m.set_start(SimTime::from_secs(start_secs));
+        let obs = m.observe(SimTime::from_secs(at_secs), SimDuration::from_secs(window_secs));
+        let cap = (at_secs.saturating_sub(start_secs) / 120).min(255);
+        let hist_total = obs.cold_hist.total_pages();
+        prop_assert!(
+            hist_total.abs_diff(total) <= cap + 1,
+            "histogram {hist_total} vs {total} pages at cap {cap}"
+        );
+    }
+}
+
+/// Nothing to observe: an empty profile and a profile of zero-page buckets
+/// give empty histograms and no working set, with or without noise.
+#[test]
+fn empty_and_zero_page_profiles_observe_nothing() {
+    let profiles = [
+        profile_from(Vec::new(), Some(1)),
+        profile_from(vec![(0, 1e-9), (0, 0.5), (0, 10.0)], Some(1)),
+    ];
+    for profile in profiles {
+        for sigma in [0.0, StatJobModel::DEFAULT_SIGMA] {
+            let mut m = StatJobModel::with_noise(profile.clone(), 11, sigma);
+            for w in 1..=3u64 {
+                let obs = m.observe(
+                    SimTime::from_secs(100_000 + w * 300),
+                    SimDuration::from_secs(300),
+                );
+                assert_eq!(obs.working_set.get(), 0);
+                assert_eq!(obs.cold_hist.total_pages(), 0);
+                assert_eq!(
+                    obs.promo_delta
+                        .promotions_colder_than(PageAge::from_scans(1)),
+                    0
+                );
+            }
+        }
+    }
 }
